@@ -11,10 +11,11 @@
 //!
 //! Builds the chosen matrix, registers it with a freshly started server
 //! (A100 device model attached, so every batch records its modeled GPU
-//! time), runs `--clients` concurrent closed-loop clients issuing
-//! `--requests` SpMV requests each — every reply verified bit-identical
-//! to a direct solo `spmv` — and prints the distilled load report plus
-//! the flush-cause breakdown. `--profile` additionally records worker
+//! time — counted once per batch width, then memoized), runs `--clients`
+//! concurrent closed-loop clients issuing `--requests` SpMV requests each
+//! — every reply verified bit-identical to a direct solo `spmv` — and
+//! prints the distilled load report plus the flush-cause and memo
+//! breakdowns. `--profile` additionally records worker
 //! traces and prints the hot-span table; `--metrics` dumps the full
 //! registry. `DASP_SANITIZE=1` (or `=report`) canaries every served
 //! kernel through the compute sanitizer, unchanged.
@@ -198,14 +199,19 @@ fn main() -> ExitCode {
 
     let final_report = server.shutdown();
     let reg = &final_report.registry;
-    let flush = |n: &str| reg.counter(n).unwrap_or(0);
+    let count = |n: &str| reg.counter(n).unwrap_or(0);
     println!(
         "flush causes: full {}, window {}, barrier {}, drain {}, solo {}",
-        flush(metrics::FLUSH_FULL),
-        flush(metrics::FLUSH_WINDOW),
-        flush(metrics::FLUSH_BARRIER),
-        flush(metrics::FLUSH_DRAIN),
-        flush(metrics::FLUSH_SOLO),
+        count(metrics::FLUSH_FULL),
+        count(metrics::FLUSH_WINDOW),
+        count(metrics::FLUSH_BARRIER),
+        count(metrics::FLUSH_DRAIN),
+        count(metrics::FLUSH_SOLO),
+    );
+    println!(
+        "modeled-time memo: {} hits, {} misses (counted batches)",
+        count(metrics::MEMO_HITS),
+        count(metrics::MEMO_MISSES),
     );
     println!(
         "plan cache: {:.0} hits, {:.0} misses, {:.0} evictions",

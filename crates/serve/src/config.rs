@@ -41,10 +41,14 @@ pub struct ServeConfig {
     /// wants this at least as large as its resident-matrix working set —
     /// watch `format.plan_cache.evictions`.
     pub plan_cache_cap: Option<usize>,
-    /// When set, every batch runs under a counting probe and its modeled
-    /// GPU time on this device is recorded (`serve.modeled.batch_us`) —
-    /// the accounting behind the `ext4` throughput numbers. `None` runs
-    /// uninstrumented ([`dasp_simt::NoProbe`]).
+    /// When set, every batch that runs a kernel records its modeled GPU
+    /// time on this device (`serve.modeled.batch_us`) — the accounting
+    /// behind the `ext4` throughput numbers. The first SpMV batch or SpMM
+    /// of each width on a resident matrix runs under a counting probe and
+    /// its figure is memoized; later ones of that width run uninstrumented
+    /// ([`dasp_simt::NoProbe`]) and record the memoized figure, which is
+    /// bit-equal to what a counting probe would give. PageRank is counted
+    /// on every request. `None` runs everything uninstrumented.
     pub model: Option<DeviceModel>,
     /// Record `serve.batch` spans (plus the kernels' own spans) in
     /// per-worker tracers, returned by [`crate::Server::shutdown`].

@@ -55,10 +55,11 @@
 //!   ([`dasp_trace::Histogram::quantile`] gives p50/p99), queue-depth
 //!   and admission stats, batch-width and flush-cause breakdowns, plan
 //!   cache hits/misses/evictions, and (when a device model is
-//!   configured) modeled GPU busy time per batch. `DASP_SANITIZE=1` or
-//!   `=report` works unchanged as a canary: every kernel the server runs
-//!   re-dispatches through the compute sanitizer exactly as direct calls
-//!   do.
+//!   configured) modeled GPU busy time per batch — counted once per
+//!   resident matrix and batch width, then memoized, so later batches run
+//!   uninstrumented. `DASP_SANITIZE=1` or `=report` works unchanged as a
+//!   canary: every kernel the server runs re-dispatches through the
+//!   compute sanitizer exactly as direct calls do.
 //!
 //! # Quick example
 //!

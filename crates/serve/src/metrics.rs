@@ -14,9 +14,15 @@ pub const LATENCY_US: &str = "serve.latency_us";
 pub const QUEUE_WAIT_US: &str = "serve.queue_wait_us";
 /// Coalesced batch width at flush (1 for solo dispatches).
 pub const BATCH_WIDTH: &str = "serve.batch.width";
-/// Modeled GPU time per dispatched batch on the configured device,
-/// microseconds; the histogram `sum` is total modeled busy time.
+/// Modeled GPU time per batch that ran a kernel on the configured device,
+/// microseconds; the histogram `sum` is total modeled busy time. A value
+/// refresh runs no kernel and records nothing.
 pub const MODELED_BATCH_US: &str = "serve.modeled.batch_us";
+/// Batches whose modeled time came from the resident matrix's memo, so
+/// they ran uninstrumented.
+pub const MEMO_HITS: &str = "serve.modeled.memo_hits";
+/// Batches that ran under a counting probe to fill the memo.
+pub const MEMO_MISSES: &str = "serve.modeled.memo_misses";
 
 /// Requests admitted to a queue.
 pub const ACCEPTED: &str = "serve.requests.accepted";

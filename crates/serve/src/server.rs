@@ -10,11 +10,11 @@ use std::time::Instant;
 
 use dasp_core::{DaspMatrix, DaspParams, PlanCache};
 use dasp_fp16::Scalar;
-use dasp_perf::{estimate, precision_of};
+use dasp_perf::{estimate, precision_of, DeviceModel};
 use dasp_simt::{CountingProbe, Executor, NoProbe, ShardableProbe};
 use dasp_solver::{power_iteration, LinearOperator, PowerOptions};
 use dasp_sparse::{Csr, DenseMat};
-use dasp_trace::{Registry, Trace, Tracer};
+use dasp_trace::{Registry, Span, Trace, Tracer};
 
 use crate::config::ServeConfig;
 use crate::metrics;
@@ -30,6 +30,24 @@ struct Slot<S: Scalar> {
     /// is never contended, it just proves exclusivity to the borrow
     /// checker across the refresh path.
     matrix: Mutex<DaspMatrix<S>>,
+    /// Modeled batch time per [`Shape`], in microseconds (`None`: the
+    /// batch launched no kernel). Filled lazily by the first counted batch
+    /// of each shape, never at registration. A refresh keeps it, because
+    /// the counters depend on the pattern and not on values or `x`
+    /// (the [`CountingProbe`] purity contract); re-registering a name makes
+    /// a new slot and so an empty memo.
+    modeled: Mutex<HashMap<Shape, Option<f64>>>,
+}
+
+/// The part of a batch its modeled time depends on besides the slot's
+/// pattern, format parameters, executor and device — all fixed for the
+/// slot's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Shape {
+    /// A coalesced SpMV batch of this many columns.
+    Spmv(usize),
+    /// One SpMM request of this many columns.
+    Spmm(usize),
 }
 
 /// State shared by the handle, dispatcher, and workers.
@@ -311,6 +329,7 @@ impl<S: Scalar> Server<S> {
             cols: m.cols,
             nnz: m.nnz,
             matrix: Mutex::new(m),
+            modeled: Mutex::new(HashMap::new()),
         });
         let replaced = self
             .inner
@@ -700,21 +719,85 @@ fn execute_job<S: Scalar>(inner: &Inner<S>, scratch: &mut Scratch<S>, job: Job<S
     span.add_arg("width", width);
 
     let mut m = job.slot.matrix.lock().expect("matrix lock");
-    match &inner.config.model {
-        Some(dev) => {
-            let mut probe = CountingProbe::new(dev.l2_cache());
-            run_batch(inner, scratch, &mut m, job.batch, &mut probe);
-            let est = estimate(&probe.stats(), dev, precision_of::<S>());
-            inner.registry.observe(
-                metrics::MODELED_BATCH_US,
-                est.seconds * 1e6,
-                &scratch.modeled_bounds,
-            );
+    let Some(dev) = &inner.config.model else {
+        run_batch(inner, scratch, &mut m, job.batch, &mut NoProbe);
+        return;
+    };
+    let shape = match &job.batch[0].work {
+        Work::Spmv { .. } => Shape::Spmv(width),
+        Work::Spmm { columns } => Shape::Spmm(columns.len()),
+        // No kernel runs, so there is no modeled time to record.
+        Work::Refresh { .. } => {
+            run_batch(inner, scratch, &mut m, job.batch, &mut NoProbe);
+            return;
+        }
+        // Counted per request: the probe carries a warm cache across a
+        // value-dependent number of applies, so there is no pattern-pure
+        // figure to memoize.
+        Work::PageRank { .. } => {
+            let us = run_counted(inner, scratch, &mut m, job.batch, dev);
+            record_modeled(inner, scratch, &mut span, us);
+            return;
+        }
+    };
+    let memo = job
+        .slot
+        .modeled
+        .lock()
+        .expect("memo lock")
+        .get(&shape)
+        .copied();
+    let us = match memo {
+        Some(us) => {
+            // Nothing is counted, so the kernels' own spans carry zero
+            // stat deltas; this span carries the batch's modeled time.
+            run_batch(inner, scratch, &mut m, job.batch, &mut NoProbe);
+            inner.registry.counter_add(metrics::MEMO_HITS, 1);
+            span.add_arg("memo", "hit");
+            us
         }
         None => {
-            let mut probe = NoProbe;
-            run_batch(inner, scratch, &mut m, job.batch, &mut probe);
+            let us = run_counted(inner, scratch, &mut m, job.batch, dev);
+            job.slot
+                .modeled
+                .lock()
+                .expect("memo lock")
+                .insert(shape, us);
+            inner.registry.counter_add(metrics::MEMO_MISSES, 1);
+            span.add_arg("memo", "miss");
+            us
         }
+    };
+    record_modeled(inner, scratch, &mut span, us);
+}
+
+/// Runs `batch` under a fresh [`CountingProbe`] and prices it on `dev`,
+/// in microseconds; `None` when no kernel launched.
+fn run_counted<S: Scalar>(
+    inner: &Inner<S>,
+    scratch: &mut Scratch<S>,
+    m: &mut DaspMatrix<S>,
+    batch: Vec<Envelope<S>>,
+    dev: &DeviceModel,
+) -> Option<f64> {
+    let mut probe = CountingProbe::new(dev.l2_cache());
+    run_batch(inner, scratch, m, batch, &mut probe);
+    let stats = probe.stats();
+    (stats.launches > 0).then(|| estimate(&stats, dev, precision_of::<S>()).seconds * 1e6)
+}
+
+/// Records a batch's modeled time in the histogram and on its span.
+fn record_modeled<S: Scalar>(
+    inner: &Inner<S>,
+    scratch: &Scratch<S>,
+    span: &mut Span,
+    us: Option<f64>,
+) {
+    if let Some(us) = us {
+        inner
+            .registry
+            .observe(metrics::MODELED_BATCH_US, us, &scratch.modeled_bounds);
+        span.add_arg("modeled_us", us);
     }
 }
 

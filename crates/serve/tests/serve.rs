@@ -1,18 +1,21 @@
 //! Integration tests for the serving layer: coalesced-vs-solo
 //! bit-identity across precisions and executors, partial-panel flushes,
-//! refresh ordering, admission control, graceful drain, and metrics.
+//! refresh ordering, admission control, graceful drain, metrics, and the
+//! per-matrix memo of modeled batch time.
 
 use std::time::Duration;
 
 use dasp_core::DaspMatrix;
 use dasp_fp16::{Scalar, F16};
+use dasp_perf::{estimate, precision_of};
 use dasp_serve::{
     metrics, run_closed_loop, ClientSpec, LoadSpec, RejectReason, Reply, ServeConfig, ServeError,
     Server,
 };
-use dasp_simt::{Executor, NoProbe};
-use dasp_solver::{power_iteration, PowerOptions};
-use dasp_sparse::Csr;
+use dasp_simt::{CountingProbe, Executor, NoProbe};
+use dasp_solver::{power_iteration, LinearOperator, PowerOptions};
+use dasp_sparse::{Coo, Csr, DenseMat};
+use dasp_trace::Tracer;
 
 /// A server configured for deterministic tests: one worker, a batching
 /// window long enough that nothing flushes until we say so.
@@ -466,4 +469,290 @@ fn registration_rejects_invalid_plans_and_keeps_serving() {
         report.registry.counter(metrics::MATRICES_REGISTERED),
         Some(2)
     );
+}
+
+/// Direct modeled time of one served batch: the server's kernel entry point
+/// under a fresh counting probe, priced on the A100 model.
+fn direct_batch_us(d: &DaspMatrix<f64>, xs: &[Vec<f64>], exec: &Executor) -> f64 {
+    let dev = dasp_perf::a100();
+    let cols: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+    let (mut b, mut y) = (DenseMat::zeros(0, 0), DenseMat::zeros(0, 0));
+    let mut probe = CountingProbe::new(dev.l2_cache());
+    d.spmv_batch_into_traced_with(&cols, &mut b, &mut y, &mut probe, &Tracer::disabled(), exec);
+    estimate(&probe.stats(), &dev, precision_of::<f64>()).seconds * 1e6
+}
+
+/// `held_config` with the A100 model attached.
+fn modeled_config(exec: Executor) -> ServeConfig {
+    ServeConfig {
+        model: Some(dasp_perf::a100()),
+        executor: exec,
+        ..held_config()
+    }
+}
+
+/// Submits one SpMV per vector, flushes them as one batch and returns the
+/// replies.
+fn serve_batch(server: &Server<f64>, name: &str, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let h = server.handle();
+    let tickets: Vec<_> = xs
+        .iter()
+        .map(|x| h.spmv("t", name, x.clone()).unwrap())
+        .collect();
+    server.flush();
+    tickets
+        .into_iter()
+        .map(|t| t.wait_vector().unwrap())
+        .collect()
+}
+
+/// A refresh runs no kernel, so it adds no modeled-time sample; neither
+/// does an SpMV on a matrix without nonzeros, counted or memoized.
+#[test]
+fn batches_without_kernels_record_no_modeled_time() {
+    let csr = dasp_matgen::banded(96, 3, 5, 8);
+    let server = Server::<f64>::start(modeled_config(Executor::seq()));
+    server.register("m", &csr);
+    server.register("zero", &Coo::<f64>::new(16, 16).to_csr());
+    let h = server.handle();
+    h.refresh("t", "m", csr.vals.clone())
+        .unwrap()
+        .wait()
+        .unwrap();
+    serve_batch(&server, "m", &[dasp_matgen::dense_vector(csr.cols, 4)]);
+    for _ in 0..2 {
+        let y = serve_batch(&server, "zero", &[vec![1.0; 16]]);
+        assert_eq!(y[0], vec![0.0; 16]);
+    }
+
+    let report = server.shutdown();
+    let modeled = report
+        .registry
+        .histogram(metrics::MODELED_BATCH_US)
+        .expect("modeled batch histogram");
+    assert_eq!(modeled.count, 1, "only the SpMV on `m` runs a kernel");
+    assert!(modeled.min > 0.0);
+    assert_eq!(report.registry.counter(metrics::MEMO_MISSES), Some(2));
+    assert_eq!(report.registry.counter(metrics::MEMO_HITS), Some(1));
+}
+
+/// The memo is exact: widths 1..=8 served twice (different `x` the second
+/// time) record the same count and bit-equal sum as pricing every batch
+/// under its own fresh counting probe. The first pass misses, the second
+/// hits.
+fn memo_matches_counted_batches(exec: Executor) {
+    let csr = dasp_matgen::uniform_random(150, 130, 6, 21);
+    let d = DaspMatrix::from_csr(&csr);
+    let server = Server::<f64>::start(modeled_config(exec));
+    server.register("m", &csr);
+
+    let (mut sum, mut count) = (0.0f64, 0u64);
+    for pass in 0..2u64 {
+        for w in 1..=8u64 {
+            let xs: Vec<Vec<f64>> = (0..w)
+                .map(|j| dasp_matgen::dense_vector(csr.cols, 1000 * pass + 10 * w + j))
+                .collect();
+            let got = serve_batch(&server, "m", &xs);
+            for (x, y) in xs.iter().zip(&got) {
+                assert_eq!(*y, d.spmv_with(x, &mut NoProbe, &exec));
+            }
+            sum += direct_batch_us(&d, &xs, &exec);
+            count += 1;
+        }
+    }
+
+    let report = server.shutdown();
+    let modeled = report
+        .registry
+        .histogram(metrics::MODELED_BATCH_US)
+        .expect("modeled batch histogram");
+    assert_eq!(modeled.count, count);
+    assert_eq!(
+        modeled.sum.to_bits(),
+        sum.to_bits(),
+        "{} vs {sum}",
+        modeled.sum
+    );
+    assert_eq!(report.registry.counter(metrics::MEMO_MISSES), Some(8));
+    assert_eq!(report.registry.counter(metrics::MEMO_HITS), Some(8));
+}
+
+#[test]
+fn memo_matches_counted_batches_seq() {
+    memo_matches_counted_batches(Executor::seq());
+}
+
+#[test]
+fn memo_matches_counted_batches_par() {
+    memo_matches_counted_batches(Executor::par());
+}
+
+/// A refresh keeps the memo (the pattern is unchanged): the SpMV after it
+/// hits, records the same modeled time, and still answers bit-identically
+/// to a solo SpMV on the new values.
+#[test]
+fn memo_survives_refresh() {
+    let csr = dasp_matgen::banded(128, 3, 6, 7);
+    let mut csr_new = csr.clone();
+    for v in csr_new.vals.iter_mut() {
+        *v = -1.5 * *v + 0.25;
+    }
+    let d_new = DaspMatrix::from_csr(&csr_new);
+    let xs = vec![dasp_matgen::dense_vector(csr.cols, 9)];
+
+    let server = Server::<f64>::start(modeled_config(Executor::seq()));
+    server.register("m", &csr);
+    serve_batch(&server, "m", &xs);
+    let h = server.handle();
+    h.refresh("t", "m", csr_new.vals.clone())
+        .unwrap()
+        .wait()
+        .unwrap();
+    let after = serve_batch(&server, "m", &xs);
+    assert_eq!(after[0], d_new.spmv(&xs[0], &mut NoProbe));
+
+    let report = server.shutdown();
+    assert_eq!(report.registry.counter(metrics::MEMO_MISSES), Some(1));
+    assert_eq!(report.registry.counter(metrics::MEMO_HITS), Some(1));
+    let modeled = report
+        .registry
+        .histogram(metrics::MODELED_BATCH_US)
+        .expect("modeled batch histogram");
+    assert_eq!(modeled.count, 2);
+    assert_eq!(modeled.min.to_bits(), modeled.max.to_bits());
+    assert_eq!(
+        modeled.max.to_bits(),
+        direct_batch_us(&d_new, &xs, &Executor::seq()).to_bits()
+    );
+}
+
+/// Re-registering a name with a different pattern starts an empty memo:
+/// the next batch misses and records the new pattern's own modeled time.
+#[test]
+fn reregistration_resets_the_memo() {
+    let a = dasp_matgen::banded(120, 2, 4, 3);
+    let b = dasp_matgen::rmat(7, 6, 5);
+    let xa = vec![dasp_matgen::dense_vector(a.cols, 1)];
+    let xb = vec![dasp_matgen::dense_vector(b.cols, 2)];
+    let exec = Executor::seq();
+    let us_a = direct_batch_us(&DaspMatrix::from_csr(&a), &xa, &exec);
+    let us_b = direct_batch_us(&DaspMatrix::from_csr(&b), &xb, &exec);
+    assert_ne!(us_a, us_b);
+
+    let server = Server::<f64>::start(modeled_config(exec));
+    server.register("m", &a);
+    serve_batch(&server, "m", &xa);
+    assert!(server.register("m", &b).replaced);
+    serve_batch(&server, "m", &xb);
+
+    let report = server.shutdown();
+    assert_eq!(report.registry.counter(metrics::MEMO_MISSES), Some(2));
+    assert_eq!(report.registry.counter(metrics::MEMO_HITS), None);
+    let modeled = report
+        .registry
+        .histogram(metrics::MODELED_BATCH_US)
+        .expect("modeled batch histogram");
+    assert_eq!(modeled.count, 2);
+    assert_eq!(modeled.sum.to_bits(), (us_a + us_b).to_bits());
+}
+
+/// Applies a matrix in f64 under one shared probe, as the server's
+/// PageRank path does.
+struct CountedOp<'a> {
+    d: &'a DaspMatrix<f64>,
+    probe: std::cell::RefCell<CountingProbe>,
+}
+
+impl LinearOperator for CountedOp<'_> {
+    fn rows(&self) -> usize {
+        self.d.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.d.cols
+    }
+
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        let out = self
+            .d
+            .spmv_with(x, &mut *self.probe.borrow_mut(), &Executor::seq());
+        y.copy_from_slice(&out);
+    }
+}
+
+/// PageRank stays on the counted path: every request records the modeled
+/// time of its whole solve, and it never touches the memo.
+#[test]
+fn pagerank_records_counted_time() {
+    let csr = dasp_matgen::stencil2d(10, 10, 5, 5);
+    let d = DaspMatrix::from_csr(&csr);
+    let opts = PowerOptions {
+        tol: 1e-9,
+        max_iters: 500,
+    };
+    let dev = dasp_perf::a100();
+    let op = CountedOp {
+        d: &d,
+        probe: std::cell::RefCell::new(CountingProbe::new(dev.l2_cache())),
+    };
+    power_iteration(&op, opts).unwrap();
+    let stats = op.probe.borrow().stats();
+    let us = estimate(&stats, &dev, precision_of::<f64>()).seconds * 1e6;
+
+    let server = Server::<f64>::start(modeled_config(Executor::seq()));
+    server.register("m", &csr);
+    let h = server.handle();
+    for _ in 0..2 {
+        h.pagerank("t", "m", opts).unwrap().wait().unwrap();
+    }
+
+    let report = server.shutdown();
+    let modeled = report
+        .registry
+        .histogram(metrics::MODELED_BATCH_US)
+        .expect("modeled batch histogram");
+    assert_eq!(modeled.count, 2);
+    assert_eq!(modeled.min.to_bits(), us.to_bits());
+    assert_eq!(modeled.max.to_bits(), us.to_bits());
+    assert_eq!(report.registry.counter(metrics::MEMO_MISSES), None);
+    assert_eq!(report.registry.counter(metrics::MEMO_HITS), None);
+}
+
+/// A traced server attributes modeled time per batch: each `serve.batch`
+/// span carries `modeled_us` and whether the memo supplied it.
+#[test]
+fn batch_spans_carry_modeled_time_and_memo_outcome() {
+    let csr = dasp_matgen::banded(72, 3, 4, 6);
+    let d = DaspMatrix::from_csr(&csr);
+    let xs = vec![dasp_matgen::dense_vector(csr.cols, 1)];
+    let us = direct_batch_us(&d, &xs, &Executor::seq());
+    let server = Server::<f64>::start(ServeConfig {
+        traced: true,
+        ..modeled_config(Executor::seq())
+    });
+    server.register("m", &csr);
+    serve_batch(&server, "m", &xs);
+    serve_batch(&server, "m", &xs);
+
+    let report = server.shutdown();
+    let spans: Vec<_> = report
+        .traces
+        .iter()
+        .flat_map(|t| t.spans.iter())
+        .filter(|s| s.name == "serve.batch")
+        .collect();
+    assert_eq!(spans.len(), 2);
+    let arg = |i: usize, key: &str| -> String {
+        spans[i]
+            .args
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("span {i} has no {key} arg"))
+    };
+    assert_eq!(arg(0, "memo"), "miss");
+    assert_eq!(arg(1, "memo"), "hit");
+    for i in 0..2 {
+        assert_eq!(arg(i, "modeled_us").parse::<f64>().unwrap(), us);
+    }
 }

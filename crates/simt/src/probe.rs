@@ -543,6 +543,15 @@ impl ShardableProbe for NoProbe {
 
 /// The counting probe: accumulates [`KernelStats`] and models `x` locality
 /// with a set-associative LRU cache.
+///
+/// **Purity contract.** What a fresh probe records for one kernel call —
+/// its [`KernelStats`] and, for SpMM, its [`PanelTraffic`] — is a function
+/// of the sparsity pattern, the format parameters, the right-hand-side
+/// width, the executor and the cache geometry only. Matrix values and the
+/// contents of `x` never change a counter: kernels branch on structure,
+/// never on data. `dasp-serve` relies on this to count each resident
+/// matrix's batch shapes once and run later batches uninstrumented;
+/// `crates/dasp/tests/counter_purity.rs` checks it.
 #[derive(Debug, Clone)]
 pub struct CountingProbe {
     stats: KernelStats,
