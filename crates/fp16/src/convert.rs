@@ -1,9 +1,18 @@
 //! Bit-level conversions between binary32 and binary16.
 //!
-//! Both directions are implemented directly on the IEEE-754 bit patterns.
-//! `f32 -> f16` uses round-to-nearest, ties-to-even, including the subnormal
+//! `f32 -> f16` rounds to nearest, ties to even, including the subnormal
 //! range; `f16 -> f32` is exact (every binary16 value is representable in
-//! binary32).
+//! binary32). Both sit on the hot path of every FP16 kernel (the decode
+//! twice per nonzero, the encode once per output row), so both are built
+//! to inline into the caller without data-dependent branches:
+//!
+//! * decoding is one load from a 64 Ki-entry table of `f32` bit patterns
+//!   (256 KiB of read-only data), filled at compile time by a `const fn`
+//!   that decodes each pattern on its IEEE-754 bit fields;
+//! * encoding branches only on the magnitude class of the input (NaN or
+//!   infinity or overflow, f16 subnormal, f16 normal), which is stable
+//!   across a matrix, and rounds with integer or FP arithmetic instead of
+//!   comparing the discarded bits against the halfway point.
 
 /// Converts an `f32` to the nearest binary16 bit pattern.
 ///
@@ -11,86 +20,78 @@
 /// the binary16 maximum (65504) round to infinity; values below the smallest
 /// subnormal round to (signed) zero. NaNs map to a quiet NaN that preserves
 /// the sign and sets a payload bit so the result stays a NaN.
+#[inline]
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp32 = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-
-    if exp32 == 0xff {
-        // Infinity or NaN. Force a payload bit for NaN so it stays NaN.
-        return if man != 0 {
-            sign | 0x7e00
+    let abs = bits & 0x7fff_ffff;
+    let mag = if abs >= 0x4780_0000 {
+        // |x| >= 65536, infinity or NaN. NaN gets a payload bit so it
+        // stays NaN.
+        if abs > 0x7f80_0000 {
+            0x7e00
         } else {
-            sign | 0x7c00
-        };
-    }
-
-    // Re-bias the exponent from binary32 (127) to binary16 (15).
-    let exp = exp32 - 127 + 15;
-
-    if exp >= 0x1f {
-        // Overflow: round to infinity.
-        return sign | 0x7c00;
-    }
-
-    if exp <= 0 {
-        // Result is subnormal (or rounds to zero). The binary16 subnormal
-        // lattice is k * 2^-24; shift the 24-bit significand into place.
-        if exp < -10 {
-            // Magnitude < 2^-25: below half the smallest subnormal => 0.
-            // (exp == -10 can still round up to the smallest subnormal.)
-            return sign;
+            0x7c00
         }
-        let significand = man | 0x0080_0000; // add the implicit leading 1
-        let shift = (14 - exp) as u32; // in 15..=24
-        let halfway = 1u32 << (shift - 1);
-        let rem = significand & ((1u32 << shift) - 1);
-        let mut m = significand >> shift;
-        if rem > halfway || (rem == halfway && (m & 1) == 1) {
-            m += 1; // may carry into the exponent field: smallest normal, still correct
-        }
-        return sign | m as u16;
-    }
-
-    // Normal range: round the 23-bit mantissa down to 10 bits.
-    let rem = man & 0x1fff;
-    let mut m = man >> 13;
-    let mut e = exp as u32;
-    if rem > 0x1000 || (rem == 0x1000 && (m & 1) == 1) {
-        m += 1;
-        if m == 0x400 {
-            // Mantissa overflowed into the exponent.
-            m = 0;
-            e += 1;
-            if e >= 0x1f {
-                return sign | 0x7c00;
-            }
-        }
-    }
-    sign | ((e as u16) << 10) | m as u16
+    } else if abs >= 0x3880_0000 {
+        // |x| >= 2^-14, an f16 normal. Adding 0xc800_0000 re-biases the
+        // exponent (127 -> 15, i.e. subtracts 112 << 23). Adding 0xfff plus
+        // the lowest kept mantissa bit before dropping the 13 low bits
+        // rounds to nearest, ties to even: only a tie with an odd kept bit,
+        // or anything above a tie, carries into bit 13. A carry out of the
+        // mantissa moves up the exponent, ending at 0x7c00 (infinity) from
+        // 65520 on.
+        let odd = (abs >> 13) & 1;
+        (abs.wrapping_add(0xc800_0fff).wrapping_add(odd) >> 13) as u16
+    } else {
+        // |x| < 2^-14: the result is an f16 subnormal k * 2^-24 (k = 1024
+        // is the smallest normal, reached by carry). In 0.5 + |x| the
+        // f32 lattice spacing is exactly 2^-24, so the FP add itself
+        // rounds |x| to nearest, ties to even (the default FP environment,
+        // which Rust assumes), and leaves k in the low mantissa bits of the
+        // sum.
+        ((f32::from_bits(abs) + 0.5).to_bits() - 0x3f00_0000) as u16
+    };
+    sign | mag
 }
 
 /// Converts a binary16 bit pattern to the exactly-equal `f32`.
+#[inline]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
+    f32::from_bits(F16_TO_F32_BITS[h as usize])
+}
+
+/// `f32` bit pattern of every binary16 bit pattern, indexed by the latter.
+static F16_TO_F32_BITS: [u32; 1 << 16] = {
+    let mut table = [0u32; 1 << 16];
+    let mut h = 0;
+    while h < table.len() {
+        table[h] = decode_bits(h as u16);
+        h += 1;
+    }
+    table
+};
+
+/// Decodes one binary16 bit pattern on its bit fields; fills the table.
+const fn decode_bits(h: u16) -> u32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = (h >> 10) & 0x1f;
     let man = (h & 0x03ff) as u32;
 
     if exp == 0x1f {
         // Infinity or NaN; shift the payload up to the binary32 field.
-        return f32::from_bits(sign | 0x7f80_0000 | (man << 13));
+        return sign | 0x7f80_0000 | (man << 13);
     }
     if exp == 0 {
         if man == 0 {
-            return f32::from_bits(sign); // signed zero
+            return sign; // signed zero
         }
         // Subnormal: value is man * 2^-24, exact in f32.
         let v = man as f32 * f32::from_bits(0x3380_0000); // 2^-24
-        return if sign != 0 { -v } else { v };
+        return sign | v.to_bits();
     }
     // Normal: re-bias exponent (15 -> 127 is +112) and widen the mantissa.
-    f32::from_bits(sign | ((exp as u32 + 112) << 23) | (man << 13))
+    sign | ((exp as u32 + 112) << 23) | (man << 13)
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@ use crate::convert::{f16_bits_to_f32, f32_to_f16_bits};
 ///
 /// `F16` is a pure storage type: arithmetic converts to `f32`, operates, and
 /// rounds back to binary16, which matches the behaviour of scalar
-/// half-precision units. Conversions in both directions are correctly
-/// rounded (round-to-nearest, ties-to-even).
+/// half-precision units. Conversion from `f32` is correctly rounded
+/// (round-to-nearest, ties-to-even); conversion from `f64` goes through
+/// `f32` and so rounds twice (see [`F16::from_f64`]); conversions to
+/// `f32` and `f64` are exact.
 #[derive(Clone, Copy, Default)]
 #[repr(transparent)]
 pub struct F16(u16);
@@ -58,13 +60,15 @@ impl F16 {
         F16(f32_to_f16_bits(x))
     }
 
-    /// Converts from `f64`.
+    /// Converts from `f64`, rounding twice.
     ///
-    /// The value is first rounded to `f32` and then to binary16. Double
-    /// rounding f64 -> f32 -> f16 is only observable for values whose f32
-    /// rounding lands exactly on an f16 tie; those do not arise from the
-    /// generators in this workspace, and the behaviour matches CUDA's
-    /// `__double2half` on the same path.
+    /// The value is first rounded to `f32` and then to binary16, each time
+    /// to nearest, ties to even. That double rounding differs from rounding
+    /// the `f64` to binary16 directly when the `f32` rounding lands exactly
+    /// on a binary16 tie that the `f64` value was not on: `1 + 2^-11 +
+    /// 2^-40` is just above the tie between 1 and `1 + 2^-10`, so it rounds
+    /// up directly, but its `f32` rounding is the tie itself, which rounds
+    /// to the even 1.
     #[inline]
     pub fn from_f64(x: f64) -> Self {
         F16(f32_to_f16_bits(x as f32))
@@ -170,10 +174,13 @@ impl F16 {
         key(self.0).cmp(&key(other.0))
     }
 
-    /// Fused-style multiply-add computed in `f32`: `self * a + b`.
+    /// Multiply-add computed in `f32`: `self * a + b`, rounded twice.
     ///
-    /// This mirrors the half-precision HFMA path where the product and sum
-    /// are evaluated in a wider intermediate before rounding once.
+    /// The product of two binary16 values is exact in `f32`. The sum is
+    /// rounded to `f32`, and that result is rounded again to binary16, so
+    /// this is not a fused multiply-add: when the `f32` sum lands exactly
+    /// on a binary16 tie the exact sum was not on, the result can differ
+    /// from rounding `self * a + b` once.
     #[inline]
     pub fn mul_add(self, a: F16, b: F16) -> Self {
         F16::from_f32(self.to_f32() * a.to_f32() + b.to_f32())
@@ -341,15 +348,36 @@ mod tests {
     }
 
     #[test]
-    fn mul_add_rounds_once() {
+    fn mul_add_rounds_the_f32_sum_then_to_f16() {
         // 255.875 * 1 + 0.0625: the product is exact, the sum 255.9375 needs
-        // rounding. Two-step (mul then add) and mul_add agree here, but
-        // mul_add must not round the intermediate product.
+        // rounding once, to binary16.
         let a = F16::from_f32(255.875);
         let b = F16::ONE;
         let c = F16::from_f32(0.0625);
         let fused = a.mul_add(b, c);
         assert_eq!(fused.to_f32(), (255.875f32 + 0.0625).round_ties_even_like());
+
+        // 1.5 * (1 + 2^-10) - 2^-24: the product 1.5 + 3 * 2^-11 is exact in
+        // f32 and is the binary16 tie between 0x3e01 and 0x3e02. The exact
+        // result lies 2^-24 below that tie, so rounding once gives 0x3e01.
+        // But 2^-24 is half an f32 ulp here, so the f32 sum rounds (to
+        // even) back onto the tie, which then rounds to the even 0x3e02.
+        let a = F16::from_bits(0x3e00);
+        let b = F16::from_bits(0x3c01);
+        let c = -F16::MIN_SUBNORMAL;
+        assert_eq!(a.to_f32() * b.to_f32() + c.to_f32(), 1.5 + 3.0 / 2048.0);
+        assert_eq!(a.mul_add(b, c).to_bits(), 0x3e02);
+    }
+
+    #[test]
+    fn from_f64_rounds_through_f32() {
+        // 1 + 2^-11 + 2^-40 is just above the binary16 tie 1 + 2^-11, so
+        // rounding it once to binary16 would give 1 + 2^-10 (0x3c01). Its
+        // f32 rounding is the tie itself, which rounds to the even 1.0.
+        let x = 1.0 + 2f64.powi(-11) + 2f64.powi(-40);
+        assert_eq!(x as f32, 1.0 + 2f32.powi(-11));
+        assert_eq!(F16::from_f64(x).to_bits(), 0x3c00);
+        assert_eq!(F16::from_f64(x + 2f64.powi(-24)).to_bits(), 0x3c01);
     }
 
     trait RoundTiesEvenLike {

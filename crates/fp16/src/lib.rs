@@ -7,11 +7,20 @@
 //! third-party numeric crates, so this crate implements binary16 from
 //! scratch:
 //!
-//! * [`F16`] — a 16-bit storage type with correctly-rounded (round to
-//!   nearest, ties to even) conversions to and from `f32`/`f64`, full
+//! * [`F16`] — a 16-bit storage type with a correctly-rounded (round to
+//!   nearest, ties to even) conversion from `f32`, a conversion from `f64`
+//!   that rounds through `f32`, exact conversions to `f32`/`f64`, full
 //!   arithmetic operators (computed in `f32`, as GPU half-precision ALUs
 //!   effectively do for fused sequences), and the usual classification
 //!   predicates.
+//! * [`f32_to_f16_bits`] / [`f16_bits_to_f32`] — the two conversions on raw
+//!   bit patterns that everything above goes through. Each runs at least
+//!   once per nonzero in an FP16 SpMV, so both inline into the caller: the
+//!   decode is one load from a 64 Ki-entry table built at compile time
+//!   (256 KiB of read-only data), the encode rounds to nearest even without
+//!   a data-dependent branch. `tests/convert_oracle.rs` checks both bit for
+//!   bit against the branchy bit-level conversions they replaced, on every
+//!   binary16 pattern and, in release builds, every `f32` pattern.
 //! * [`Scalar`] — the numeric abstraction the kernels are generic over. It
 //!   separates the *storage* type (what lives in the matrix arrays, and what
 //!   gets counted as memory traffic) from the *accumulator* type used inside
