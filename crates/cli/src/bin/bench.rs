@@ -38,7 +38,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dasp_bench::suite_matrices;
+use dasp_matgen::suite_matrices;
 use dasp_observatory::suite::{device_by_name, render_suite_table};
 use dasp_observatory::{
     diff_snapshots, next_seq, render_interp_table, run_interp_bench, run_suite, snapshot_path,

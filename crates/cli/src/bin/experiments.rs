@@ -4,7 +4,8 @@
 //!
 //! ```text
 //! dasp-experiments [--out DIR] [--metrics-out DIR]
-//!                  [fig1|fig2|fig9|fig10|fig11|fig12|fig13|table1|table2|all]
+//!                  [fig1|fig2|fig9|fig10|fig11|fig12|fig13|table1|table2|
+//!                   ext1|ext2|ext3|ext4|ablation|all]
 //! ```
 //!
 //! Each experiment prints a text summary and writes a CSV into the output
@@ -18,8 +19,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dasp_cli::experiments::{
-    ext2, ext3, ext4, ext_merge, fig01, fig02, fig09, fig10, fig11, fig12, fig13, metrics_dump,
-    table1, table2,
+    ablation, ext2, ext3, ext4, ext_merge, fig01, fig02, fig09, fig10, fig11, fig12, fig13,
+    metrics_dump, table1, table2,
 };
 use dasp_cli::output::{f2, f3, text_table, write_csv};
 use dasp_perf::MethodKind;
@@ -48,7 +49,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: dasp-experiments [--out DIR] [--metrics-out DIR] \
-                     [fig1|fig2|fig9|fig10|fig11|fig12|fig13|table1|table2|ext1|ext2|ext3|ext4|all]"
+                     [fig1|fig2|fig9|fig10|fig11|fig12|fig13|table1|table2|ext1|ext2|ext3|ext4|ablation|all]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -58,9 +59,9 @@ fn main() -> ExitCode {
     if targets.is_empty() {
         targets.push("all".to_string());
     }
-    const KNOWN: [&str; 14] = [
+    const KNOWN: [&str; 15] = [
         "all", "table1", "table2", "fig1", "fig2", "fig9", "fig10", "fig11", "fig12", "fig13",
-        "ext1", "ext2", "ext3", "ext4",
+        "ext1", "ext2", "ext3", "ext4", "ablation",
     ];
     for t in &targets {
         if !KNOWN.contains(&t.as_str()) {
@@ -109,6 +110,9 @@ fn main() -> ExitCode {
     }
     if want("ext4") {
         run_ext4(&out_dir);
+    }
+    if want("ablation") {
+        run_ablation(&out_dir);
     }
     if let Some(dir) = &metrics_out {
         if let Err(e) = run_metrics_dump(dir) {
@@ -353,6 +357,33 @@ fn run_ext4(out: &std::path::Path) {
             })
             .collect::<Vec<_>>(),
     );
+}
+
+fn run_ablation(out: &std::path::Path) {
+    let f = ablation::run();
+    println!(
+        "== Ablation: DASP design parameters, modeled FP64 SpMV (A100 model; \
+         paper values threshold 0.75, max_len 256, piecing on) =="
+    );
+    let header = ["sweep", "value", "modeled_us", "bytes_val"];
+    let rows: Vec<Vec<String>> = f
+        .rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.sweep.to_string(),
+                r.value.clone(),
+                f2(r.modeled_us),
+                r.bytes_val.to_string(),
+            ]
+        })
+        .collect();
+    println!("{}", text_table(&header, &rows));
+    println!(
+        "short-row piecing: padded-only / pieced = {}x (paper §3.3.3: piecing cuts transfers)\n",
+        f2(f.piecing_speedup)
+    );
+    let _ = write_csv(out, "ablation.csv", &header, &rows);
 }
 
 fn run_table1() {

@@ -12,20 +12,11 @@
 
 use std::process::ExitCode;
 
-use dasp_core::{DaspMatrix, DaspParams};
-use dasp_matgen::dense_vector;
-use dasp_perf::{a100, estimate, h800, DeviceModel, Precision};
-use dasp_simt::CountingProbe;
+use dasp_cli::experiments::ablation::modeled_time;
+use dasp_core::DaspParams;
+use dasp_perf::{a100, h800};
 use dasp_sparse::mm::read_matrix_market;
 use dasp_sparse::{Coo, Csr};
-
-fn modeled_time(csr: &Csr<f64>, params: DaspParams, dev: &DeviceModel) -> f64 {
-    let d = DaspMatrix::with_params(csr, params);
-    let x = dense_vector(csr.cols, 42);
-    let mut probe = CountingProbe::new(dev.l2_cache());
-    let _ = d.spmv(&x, &mut probe);
-    estimate(&probe.stats(), dev, Precision::Fp64).seconds
-}
 
 fn main() -> ExitCode {
     let mut path: Option<String> = None;

@@ -1,6 +1,7 @@
 //! One module per reproduced table/figure. See DESIGN.md's per-experiment
 //! index for the mapping to the paper.
 
+pub mod ablation;
 pub mod common;
 pub mod ext2;
 pub mod ext3;

@@ -131,20 +131,6 @@ impl<S: Scalar> DaspMatrix<S> {
         y
     }
 
-    /// [`DaspMatrix::spmm`] with spans: records a `spmm` root span (with
-    /// `rhs_width` and panel-count args) and one child per category
-    /// kernel.
-    pub fn spmm_traced<P: ShardableProbe>(
-        &self,
-        b: &DenseMat<S>,
-        probe: &mut P,
-        tracer: &Tracer,
-    ) -> DenseMat<S> {
-        let mut y = DenseMat::zeros(self.rows, b.cols());
-        self.spmm_into_traced_with(b, &mut y, probe, tracer, &Executor::from_env());
-        y
-    }
-
     /// Computes `Y = A B` into a caller-provided panel matrix — the
     /// single dispatch every other SpMM entry point funnels through.
     ///

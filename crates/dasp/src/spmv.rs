@@ -73,18 +73,6 @@ impl<S: Scalar> DaspMatrix<S> {
         y
     }
 
-    /// [`DaspMatrix::spmv_into_traced_with`] under the process-default
-    /// executor.
-    pub fn spmv_into_traced<P: ShardableProbe>(
-        &self,
-        x: &[S],
-        y: &mut [S],
-        probe: &mut P,
-        tracer: &Tracer,
-    ) {
-        self.spmv_into_traced_with(x, y, probe, tracer, &Executor::from_env());
-    }
-
     /// [`DaspMatrix::spmv_into`] with spans, under an explicit executor —
     /// the single dispatch every other SpMV entry point funnels through.
     /// Records a `spmv` root span and a
@@ -329,14 +317,6 @@ impl<S: Scalar> DaspMatrix<S> {
         }
         self.spmm_into_traced_with(b, y, probe, tracer, exec);
     }
-
-    /// Convenience wrapper taking and returning `f64` regardless of the
-    /// storage precision (useful for solvers; conversion costs are not
-    /// probed).
-    pub fn spmv_f64<P: ShardableProbe>(&self, x: &[f64], probe: &mut P) -> Vec<f64> {
-        let xs: Vec<S> = x.iter().map(|&v| S::from_f64(v)).collect();
-        self.spmv(&xs, probe).iter().map(|v| v.to_f64()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -433,16 +413,6 @@ mod tests {
         assert_eq!(s.bytes_val, stored * 8);
         assert!(s.mma_ops > 0);
         assert!(s.launches >= 3);
-    }
-
-    #[test]
-    fn spmv_f64_wrapper_round_trips() {
-        let csr = dense_mixed_matrix();
-        let d = DaspMatrix::<f64>::from_csr(&csr);
-        let x: Vec<f64> = (0..600).map(|i| (i % 3) as f64).collect();
-        let via_wrapper = d.spmv_f64(&x, &mut NoProbe);
-        let direct = d.spmv(&x, &mut NoProbe);
-        assert_eq!(via_wrapper, direct);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!
 //! [`representative`] instantiates scaled-down analogs of the paper's 21
 //! Table-2 matrices, and [`corpus`] samples a full synthetic collection used
-//! where the paper sweeps all of SuiteSparse.
+//! where the paper sweeps all of SuiteSparse. [`suite_matrices`] is the
+//! fixed four-class set the `dasp-bench` snapshots are recorded on.
 
 //! # Example
 //!
@@ -41,6 +42,7 @@
 mod corpus;
 mod generators;
 mod representative;
+mod suite;
 
 pub use corpus::{corpus, corpus_with, CorpusSpec, NamedMatrix};
 pub use generators::{
@@ -48,3 +50,4 @@ pub use generators::{
     rmat, stencil2d, stencil3d, uniform_random, uniform_random_var,
 };
 pub use representative::{representative, representative_names, RepresentativeMatrix};
+pub use suite::{bench_matrices, suite_matrices};

@@ -32,8 +32,8 @@
 //! old snapshot but missing from the new one also fails (a silently
 //! dropped workload must not pass a perf gate).
 
-use crate::json::{escape, fmt_num};
 use crate::snapshot::{BenchSnapshot, Workload};
+use dasp_trace::json::{escape, fmt_num};
 
 /// Thresholds for [`diff_snapshots`].
 #[derive(Debug, Clone, Copy)]

@@ -13,7 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::json::{escape, fmt_num, Json};
+use dasp_trace::json::{escape, fmt_num, Json};
 
 /// Schema version this crate writes and reads.
 pub const SCHEMA_VERSION: u64 = 1;

@@ -93,7 +93,7 @@ struct Unit<'a> {
 }
 
 /// Runs the full suite over `matrices` (name, matrix) pairs — use
-/// [`dasp_bench::suite_matrices`] for the standard set — and returns the
+/// [`dasp_matgen::suite_matrices`] for the standard set — and returns the
 /// snapshot plus profile.
 ///
 /// Wall sampling is **rep-major**: one warmup sweep over every workload,
@@ -106,8 +106,6 @@ struct Unit<'a> {
 /// drift the diff gate's noise band must absorb.
 ///
 /// Panics if `cfg.device` is not a known model name.
-///
-/// [`dasp_bench::suite_matrices`]: fn@dasp_bench::suite_matrices
 pub fn run_suite(cfg: &SuiteConfig, matrices: &[(&str, Csr<f64>)]) -> SuiteOutcome {
     let dev = device_by_name(&cfg.device)
         .unwrap_or_else(|| panic!("unknown device model {:?}", cfg.device));

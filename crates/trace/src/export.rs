@@ -3,7 +3,7 @@
 
 use dasp_simt::KernelStats;
 
-use crate::json::{escape, fmt_f64};
+use crate::json::{escape, fmt_num};
 use crate::registry::{MetricValue, Registry};
 use crate::span::Trace;
 
@@ -118,10 +118,10 @@ pub fn registry_to_json(registry: &Registry) -> String {
                 out.push_str(&format!("{{\"type\":\"counter\",\"value\":{c}}}"))
             }
             MetricValue::Gauge(g) => {
-                out.push_str(&format!("{{\"type\":\"gauge\",\"value\":{}}}", fmt_f64(g)))
+                out.push_str(&format!("{{\"type\":\"gauge\",\"value\":{}}}", fmt_num(g)))
             }
             MetricValue::Histogram(h) => {
-                let bounds: Vec<String> = h.bounds.iter().map(|b| fmt_f64(*b)).collect();
+                let bounds: Vec<String> = h.bounds.iter().map(|b| fmt_num(*b)).collect();
                 let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
                 out.push_str(&format!(
                     "{{\"type\":\"histogram\",\"bounds\":[{}],\"counts\":[{}],\
@@ -130,13 +130,13 @@ pub fn registry_to_json(registry: &Registry) -> String {
                     bounds.join(","),
                     counts.join(","),
                     h.count,
-                    fmt_f64(h.sum),
-                    fmt_f64(if h.count == 0 { 0.0 } else { h.min }),
-                    fmt_f64(if h.count == 0 { 0.0 } else { h.max }),
-                    fmt_f64(h.mean()),
-                    fmt_f64(h.quantile(0.50)),
-                    fmt_f64(h.quantile(0.90)),
-                    fmt_f64(h.quantile(0.99))
+                    fmt_num(h.sum),
+                    fmt_num(if h.count == 0 { 0.0 } else { h.min }),
+                    fmt_num(if h.count == 0 { 0.0 } else { h.max }),
+                    fmt_num(h.mean()),
+                    fmt_num(h.quantile(0.50)),
+                    fmt_num(h.quantile(0.90)),
+                    fmt_num(h.quantile(0.99))
                 ));
             }
         }
@@ -169,29 +169,29 @@ pub fn registry_to_csv(registry: &Registry) -> String {
                 out.push_str(&format!("{},counter,{c},\n", csv_field(&name)));
             }
             MetricValue::Gauge(g) => {
-                out.push_str(&format!("{},gauge,{},\n", csv_field(&name), fmt_f64(g)));
+                out.push_str(&format!("{},gauge,{},\n", csv_field(&name), fmt_num(g)));
             }
             MetricValue::Histogram(h) => {
                 let mut detail: Vec<String> = h
                     .bounds
                     .iter()
                     .zip(&h.counts)
-                    .map(|(b, c)| format!("le{}:{c}", fmt_f64(*b)))
+                    .map(|(b, c)| format!("le{}:{c}", fmt_num(*b)))
                     .collect();
                 detail.push(format!("inf:{}", h.counts[h.bounds.len()]));
-                detail.push(format!("sum:{}", fmt_f64(h.sum)));
+                detail.push(format!("sum:{}", fmt_num(h.sum)));
                 detail.push(format!(
                     "min:{}",
-                    fmt_f64(if h.count == 0 { 0.0 } else { h.min })
+                    fmt_num(if h.count == 0 { 0.0 } else { h.min })
                 ));
                 detail.push(format!(
                     "max:{}",
-                    fmt_f64(if h.count == 0 { 0.0 } else { h.max })
+                    fmt_num(if h.count == 0 { 0.0 } else { h.max })
                 ));
-                detail.push(format!("mean:{}", fmt_f64(h.mean())));
-                detail.push(format!("p50:{}", fmt_f64(h.quantile(0.50))));
-                detail.push(format!("p90:{}", fmt_f64(h.quantile(0.90))));
-                detail.push(format!("p99:{}", fmt_f64(h.quantile(0.99))));
+                detail.push(format!("mean:{}", fmt_num(h.mean())));
+                detail.push(format!("p50:{}", fmt_num(h.quantile(0.50))));
+                detail.push(format!("p90:{}", fmt_num(h.quantile(0.90))));
+                detail.push(format!("p99:{}", fmt_num(h.quantile(0.99))));
                 out.push_str(&format!(
                     "{},histogram,{},{}\n",
                     csv_field(&name),

@@ -23,6 +23,11 @@
 //! * Exporters — [`chrome_trace_json`] (opens directly in Perfetto /
 //!   `chrome://tracing`), plus JSON and CSV for the registry.
 //!
+//! [`json`] is the workspace's one JSON module: the parser behind
+//! [`validate_json`] and the `escape` / `fmt_num` helpers every
+//! hand-written emitter (these exporters, observatory snapshots, verifier
+//! reports) shares.
+//!
 //! # Span naming scheme
 //!
 //! Dotted hierarchies mirror the stack: `preprocess.categorize`,
@@ -41,7 +46,7 @@
 #![forbid(unsafe_code)]
 
 mod export;
-mod json;
+pub mod json;
 mod registry;
 mod span;
 mod warp_profile;

@@ -14,6 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use dasp_trace::json::escape;
+
 /// The invariant classes the verifier checks. Every variant has a paired
 /// negative test (a planted violation the validator must flag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -124,10 +126,6 @@ impl Violation {
             escape(&self.detail)
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl fmt::Display for Violation {
@@ -365,6 +363,21 @@ mod tests {
         assert!(j.contains("\"clean\":false"));
         assert!(j.contains("\"nnz_partition\":1"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_sites() {
+        let mut r = VerifyReport::new();
+        let detail = "quote \" backslash \\ newline \n tab \t ctrl \u{1}";
+        r.record(Violation {
+            invariant: Invariant::CidRange,
+            site: "plan\r".to_string(),
+            detail: detail.to_string(),
+        });
+        let doc = dasp_trace::json::Json::parse(&r.to_json()).expect("report JSON is valid");
+        let site = &doc.get("sites").unwrap().as_arr().unwrap()[0];
+        assert_eq!(site.req_str("detail").unwrap(), detail);
+        assert_eq!(site.req_str("site").unwrap(), "plan\r");
     }
 
     #[test]

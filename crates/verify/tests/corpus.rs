@@ -39,7 +39,7 @@ fn bench_suite_matrices_cover_all_interpreted_regions() {
     // The quick-profile suite matrices must, between them, drive the
     // interpreter through every kernel region it knows about.
     let mut regions = std::collections::BTreeSet::new();
-    for (_, csr) in dasp_bench::suite_matrices(true) {
+    for (_, csr) in dasp_matgen::suite_matrices(true) {
         let m = DaspPlan::analyze(&csr, DaspParams::default()).fill(&csr);
         let outcome = verify_kernels(&m);
         assert!(outcome.report.is_clean(), "{}", outcome.report);
