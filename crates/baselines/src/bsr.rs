@@ -73,7 +73,6 @@ impl<S: Scalar> BsrSpmv<S> {
 
         let shared = SharedSlice::new(&mut y);
         exec.run(b.mb, probe, |bi, p| self.block_row_warp(x, &shared, bi, p));
-        drop(shared);
         y
     }
 

@@ -58,7 +58,6 @@ impl<S: Scalar> CsrScalar<S> {
         exec.run(n_warps, probe, |w, p| {
             csr_scalar_warp(csr, x, &shared, w, p)
         });
-        drop(shared);
         y
     }
 
@@ -98,7 +97,6 @@ impl<S: Scalar> CsrScalar<S> {
         exec.run(n_warps * panels, probe, |wid, p| {
             csr_scalar_spmm_warp(csr, b, &shared, y_rows, n_warps, wid, p)
         });
-        drop(shared);
         y
     }
 }

@@ -75,7 +75,6 @@ impl<S: Scalar> CsrVector<S> {
         exec.run(n_warps, probe, |w, p| {
             csr_vector_warp(csr, x, &shared, self.threads_per_row, w, p)
         });
-        drop(shared);
         y
     }
 }

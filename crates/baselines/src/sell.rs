@@ -142,7 +142,6 @@ impl<S: Scalar> SellCSigma<S> {
 
         let shared = SharedSlice::new(&mut y);
         exec.run(n_chunks, probe, |ch, p| self.chunk_warp(x, &shared, ch, p));
-        drop(shared);
         y
     }
 

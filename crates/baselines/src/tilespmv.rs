@@ -174,7 +174,6 @@ impl<S: Scalar> TileSpmv<S> {
         exec.run(n_tile_rows, probe, |ti, p| {
             self.tile_row_warp(x, &shared, ti, p)
         });
-        drop(shared);
         y
     }
 

@@ -3,9 +3,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use dasp_fp16::Scalar;
-use dasp_simt::checked;
 use dasp_simt::mma::{diag_position, AccFrag, MMA_M};
-use dasp_simt::warp::{full_mask, per_lane, WARP_SIZE};
+use dasp_simt::warp::{per_lane, WARP_SIZE};
 use dasp_simt::{space, Probe, SharedSlice};
 
 use crate::format::NO_ROW;
@@ -66,37 +65,36 @@ pub(crate) fn write_permuted<S: Scalar, P: Probe>(
 }
 
 /// The diagonal extraction of Algorithms 3 and 4 (lines 13-18 / 15-20):
-/// after iteration `i`'s MMA, the eight row results live on the diagonal of
-/// the accumulator fragment; two variable-source shuffles with
-/// `target = ((laneid - i*8) >> 1) * 9` move them to lanes `i*8..(i+1)*8`,
-/// where even lanes take register 0 and odd lanes register 1.
+/// row `r`'s result, on the accumulator diagonal after iteration `i`'s
+/// MMA, lands in `res[i*8 + r]`. The paper's full-mask shuffle pair
+/// (`target = ((laneid - i*8) >> 1) * 9`) reduces to these eight copies;
+/// its two issues are still charged.
 #[inline]
-pub(crate) fn extract_diagonals<S: Scalar, P: Probe>(
+pub fn extract_diagonals<S: Scalar, P: Probe>(
     acc: &AccFrag<S>,
     i: usize,
     res: &mut [S::Acc; WARP_SIZE],
     probe: &mut P,
 ) {
-    // Initcheck: extraction consumes the eight diagonal accumulator slots.
     for r in 0..MMA_M {
         let (lane, reg) = diag_position(r);
         probe.san_frag_read(lane, reg);
+        res[i * MMA_M + r] = acc[lane][reg];
     }
-    let y0: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][0]);
-    let y1: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][1]);
-    let target: [i32; WARP_SIZE] = per_lane(|l| ((l as i32 - (i as i32) * 8) >> 1) * 9);
-    let target4: [i32; WARP_SIZE] = per_lane(|l| target[l] + 4);
-    // Only lanes i*8..(i+1)*8 consume their shuffled value; the negative
-    // targets on lower lanes are the paper's discarded-read pattern.
-    let used: u32 = 0xffu32 << (i * 8);
-    let t0 = checked::shfl_sync_var(probe, full_mask(), y0, &target, used);
-    let t1 = checked::shfl_sync_var(probe, full_mask(), y1, &target4, used);
     probe.shfl(2);
-    for lane in 0..WARP_SIZE {
-        if lane >> 3 == i {
-            res[lane] = if lane & 1 == 0 { t0[lane] } else { t1[lane] };
-        }
-    }
+}
+
+/// The long kernel's eight-partial collapse, `((d0+d2)+(d4+d6)) +
+/// ((d1+d3)+(d5+d7))`: lane 0's chain of Algorithm 2's full-mask
+/// `shfl_down 9, 18` / `shfl(fragY[1], 4)`, and lane `j>>1`'s chain of
+/// SpMM's per-column `shfl_down 8, 16, 4`. Callers charge the issues.
+#[inline]
+pub fn collapse_partials<S: Scalar>(d: &[S::Acc; MMA_M]) -> S::Acc {
+    let add = S::acc_add;
+    add(
+        add(add(d[0], d[2]), add(d[4], d[6])),
+        add(add(d[1], d[3]), add(d[5], d[7])),
+    )
 }
 
 #[cfg(test)]

@@ -2,23 +2,26 @@
 //!
 //! Phase 1: one warp per 64-element group — two block loads, two MMA
 //! issues, then the diagonal partial sums (lanes `{0,9,18,27}` register 0
-//! and `{4,13,22,31}` register 1) are collapsed into lane 0 with the
-//! paper's `shfl_down 9, 18` / `shfl(fragY[1], 4)` sequence and written to
-//! the auxiliary `warpVal` array.
+//! and `{4,13,22,31}` register 1) are collapsed into lane 0 in the add
+//! order of the paper's `shfl_down 9, 18` / `shfl(fragY[1], 4)` sequence
+//! ([`collapse_partials`]) and written to the auxiliary `warpVal` array.
 //!
 //! Phase 2: one warp per long row sums its groups' `warpVal` entries with a
-//! strided loop and a tree `warpReduceSum`, writing the final `y` value.
+//! strided loop and a tree `warpReduceSum` ([`warp_reduce_lane0`]), writing
+//! the final `y` value. Both run under the full mask, so each is computed
+//! on the consuming lane's chain; the shuffle issues are still charged.
 
 use dasp_fp16::Scalar;
 use dasp_simt::mma::{acc_zero, diag_position, mma_m8n8k4_diag, DIAG_SLOTS, MMA_M};
-use dasp_simt::warp::{full_mask, per_lane, WARP_SIZE};
-use dasp_simt::{checked, space, Executor, Probe, ShardableProbe, SharedSlice};
+use dasp_simt::shuffle::{warp_reduce_lane0, WARP_REDUCE_SHFLS};
+use dasp_simt::warp::WARP_SIZE;
+use dasp_simt::{space, Executor, Probe, ShardableProbe, SharedSlice};
 
 use dasp_simt::WarpScratch;
 
 use crate::consts::{BLOCK_ELEMS, GROUP_ELEMS};
 use crate::format::LongPart;
-use crate::kernels::{gather_x, load_block};
+use crate::kernels::{collapse_partials, gather_x, load_block};
 
 /// Runs the two-phase long-rows SpMV under the given executor, scattering
 /// results into `y`. Phase 1's group warps all complete (and, under a
@@ -68,7 +71,6 @@ pub fn long_phase1_warp<S: Scalar, P: Probe>(
     g: usize,
     probe: &mut P,
 ) {
-    let mask = full_mask();
     probe.warp_begin(g);
     probe.san_region("dasp.long.phase1");
     let mut acc = acc_zero::<S>();
@@ -85,29 +87,16 @@ pub fn long_phase1_warp<S: Scalar, P: Probe>(
         probe.san_frag_mma(DIAG_SLOTS);
         offset_a += BLOCK_ELEMS;
     }
-    // Lines 10-14: collapse the eight diagonal partials into lane 0.
+    // Lines 10-14: the `shfl_down 9, 18` / `shfl(fragY[1], 4)` collapse
+    // of the eight diagonal partials into lane 0, on lane 0's chain.
+    let mut d = [S::acc_zero(); MMA_M];
     for r in 0..MMA_M {
         let (lane, reg) = diag_position(r);
         probe.san_frag_read(lane, reg);
-    }
-    let mut y0: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][0]);
-    let mut y1: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][1]);
-    for delta in [9usize, 18] {
-        let d = checked::shfl_down_sync(probe, mask, y0, delta);
-        for l in 0..WARP_SIZE {
-            y0[l] = S::acc_add(y0[l], d[l]);
-        }
-        let d = checked::shfl_down_sync(probe, mask, y1, delta);
-        for l in 0..WARP_SIZE {
-            y1[l] = S::acc_add(y1[l], d[l]);
-        }
-    }
-    let b = checked::shfl_sync(probe, mask, y1, 4);
-    for l in 0..WARP_SIZE {
-        y0[l] = S::acc_add(y0[l], b[l]);
+        d[r] = acc[lane][reg];
     }
     probe.shfl(5);
-    warp_val.write(g, y0[0]);
+    warp_val.write(g, collapse_partials::<S>(&d));
     probe.san_write(space::AUX, g);
     probe.store_y(1, S::ACC_BYTES);
     probe.warp_end(g);
@@ -122,7 +111,6 @@ pub fn long_phase2_warp<S: Scalar, P: Probe>(
     lr: usize,
     probe: &mut P,
 ) {
-    let mask = full_mask();
     probe.warp_begin(lr);
     probe.san_region("dasp.long.phase2");
     let orig_row = part.rows[lr];
@@ -154,9 +142,10 @@ pub fn long_phase2_warp<S: Scalar, P: Probe>(
         probe.load_meta(n as u64, S::ACC_BYTES); // warpVal read-back
         base += WARP_SIZE;
     }
-    let reduced = checked::warp_reduce(probe, mask, thread_val, |a, b| S::acc_add(a, b));
-    probe.shfl(dasp_simt::shuffle::WARP_REDUCE_SHFLS);
-    y.write(orig_row as usize, S::from_acc(reduced[0]));
+    // `warpReduceSum`: lane 0's chain of the full-mask shuffle-down tree.
+    let sum = warp_reduce_lane0(thread_val, S::acc_add);
+    probe.shfl(WARP_REDUCE_SHFLS);
+    y.write(orig_row as usize, S::from_acc(sum));
     probe.san_write(space::Y, orig_row as usize);
     probe.store_y(1, S::BYTES);
     probe.warp_end(lr);

@@ -2,10 +2,10 @@
 //!
 //! Each warp computes `LOOP_NUM` row-blocks. Per row-block it streams the
 //! regular 8x4 blocks through the MMA unit, accumulating in the fragment;
-//! the eight row sums are then pulled off the accumulator diagonal with the
-//! `target = ((laneid - i*8) >> 1) * 9` shuffle pair into per-lane `res`
-//! registers. Finally each active lane walks its row's irregular elements
-//! with scalar FMAs and writes `y`.
+//! the eight row sums are then copied off the accumulator diagonal into
+//! per-lane `res` registers (the paper's `((laneid - i*8) >> 1) * 9`
+//! shuffle pair, in closed form). Finally each active lane walks its row's
+//! irregular elements with scalar FMAs and writes `y`.
 
 use dasp_fp16::Scalar;
 use dasp_simt::mma::{acc_zero, mma_m8n8k4_diag, DIAG_SLOTS};
@@ -136,7 +136,7 @@ pub fn medium_warp<S: Scalar, P: Probe>(
 mod tests {
     use super::*;
     use dasp_simt::{CountingProbe, NoProbe};
-    use dasp_sparse::{Coo, Csr};
+    use dasp_sparse::{Coo, Csr, DenseMat};
 
     fn build_medium(csr: &Csr<f64>) -> MediumPart<f64> {
         let mut rows: Vec<(u32, Vec<(u32, f64)>)> = (0..csr.rows)
@@ -201,11 +201,51 @@ mod tests {
 
     #[test]
     fn loop_num_paths_execute() {
-        // Force LOOP_NUM > 1 by exceeding the row threshold is impractical
-        // in a unit test (59990 rows); instead verify the helper wiring
-        // against a matrix whose rowblocks exceed one warp.
+        // 64 rows is far below the 59 990-row threshold, so this runs
+        // LOOP_NUM = 1 only: eight one-rowblock warps, each extracting into
+        // slot i = 0. The next test covers LOOP_NUM = 2.
         let lens: Vec<usize> = (0..64).map(|i| 5 + i % 30).collect();
         check(&lens, 128);
+    }
+
+    #[test]
+    fn loop_num_two_extracts_into_the_second_slot() {
+        // 60 000 medium rows cross the threshold, so every warp computes
+        // two row-blocks and the second extracts into lanes 8..16 (i = 1).
+        let (n, cols) = (60_000, 4096);
+        let mut coo = Coo::<f64>::new(n, cols);
+        for r in 0..n {
+            for k in 0..5 + r % 8 {
+                let v = (r % 17) as f64 * 0.25 - k as f64 * 0.125 + 0.5;
+                coo.push(r, (r * 13 + k * 97) % cols, v);
+            }
+        }
+        let csr = coo.to_csr();
+        let m = crate::DaspMatrix::from_csr(&csr);
+        assert_eq!((m.medium.rows.len(), loop_num(n)), (n, 2));
+        assert!(
+            !m.medium.reg_val.is_empty(),
+            "rows must fill regular blocks"
+        );
+        let x: Vec<f64> = (0..cols).map(|i| 1.0 - (i % 7) as f64 * 0.2).collect();
+        let y = m.spmv(&x, &mut NoProbe);
+        let want = csr.spmv_reference(&x);
+        for r in 0..n {
+            assert!(
+                (y[r] - want[r]).abs() <= 1e-9 * want[r].abs().max(1.0),
+                "row {r}: got {} want {}",
+                y[r],
+                want[r]
+            );
+        }
+        // SpMM extracts with its own `extract_rows`: column 1 of a width-3
+        // product must equal SpMV bit for bit.
+        let other: Vec<f64> = (0..cols).map(|i| (i % 5) as f64 - 2.0).collect();
+        let b = DenseMat::from_columns(&[other.clone(), x, other]);
+        let col = m.spmm(&b, &mut NoProbe).column(1);
+        for r in 0..n {
+            assert_eq!(col[r].to_bits(), y[r].to_bits(), "row {r}");
+        }
     }
 
     #[test]

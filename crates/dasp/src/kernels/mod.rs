@@ -2,7 +2,8 @@
 //!
 //! Each kernel is a line-by-line translation of its pseudocode onto the
 //! [`dasp_simt`] warp substrate: per-warp functions over 32-lane arrays,
-//! issuing `mma.m8n8k4` and the paper's exact shuffle sequences. All kernels
+//! issuing `mma.m8n8k4` and charging the paper's exact (full-mask) shuffle
+//! sequences, computed in closed form on the consuming lanes. All kernels
 //! are generic over [`dasp_fp16::Scalar`] (FP64 and FP16) and over
 //! [`dasp_simt::Probe`] for traffic accounting.
 //!
@@ -32,4 +33,5 @@ pub use short13::{short13_warp, spmv_short13, spmv_short13_with};
 pub use short22::{short22_warp, spmv_short22, spmv_short22_with};
 pub use short4::{short4_warp, spmv_short4, spmv_short4_with};
 
-pub(crate) use helpers::{extract_diagonals, gather_x, load_block, write_permuted};
+pub use helpers::{collapse_partials, extract_diagonals};
+pub(crate) use helpers::{gather_x, load_block, write_permuted};

@@ -5,22 +5,24 @@
 //! **A-resident panel sweep**: phase 1 loads each block's A values and
 //! indices **once**, then issues the 8 masked-A MMAs for every RHS panel
 //! while the fragment sits in registers, and collapses the per-column
-//! partial sums with a `shfl_down 8, 16, 4` tree that reproduces SpMV's
-//! exact add association per column. The auxiliary `warpVal` array holds
-//! one accumulator slot per (group, panel, column).
+//! partial sums in the add order of a `shfl_down 8, 16, 4` tree, which is
+//! SpMV's exact association per column ([`collapse_partials`]). The
+//! auxiliary `warpVal` array holds one accumulator slot per (group, panel,
+//! column).
 
 use dasp_fp16::Scalar;
 use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_segment, row_slots, AccFrag, MMA_K, MMA_M};
-use dasp_simt::warp::{full_mask, per_lane, WARP_SIZE};
+use dasp_simt::shuffle::{warp_reduce_lane0, WARP_REDUCE_SHFLS};
+use dasp_simt::warp::{per_lane, WARP_SIZE};
 use dasp_simt::SharedSlice;
-use dasp_simt::{checked, space, Executor, Probe, ShardableProbe};
+use dasp_simt::{space, Executor, Probe, ShardableProbe};
 use dasp_sparse::{DenseMat, PANEL_WIDTH};
 
 use dasp_simt::WarpScratch;
 
 use crate::consts::{BLOCK_ELEMS, GROUP_ELEMS};
 use crate::format::LongPart;
-use crate::kernels::load_block;
+use crate::kernels::{collapse_partials, load_block};
 
 /// Runs the two-phase long-rows SpMM under the given executor, scattering
 /// results into the panel-layout output slice `y` (`y_rows` rows). All
@@ -62,7 +64,6 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
     probe: &mut P,
 ) {
     let panels = b.num_panels();
-    let mask = full_mask();
     probe.warp_begin(g);
     probe.san_region("spmm.long.phase1");
     let mut accs = WarpScratch::lease::<AccFrag<S>>(panels, acc_zero::<S>());
@@ -116,37 +117,22 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
     }
     probe.panel(None);
     // Collapse the 8 row-segment partials per (panel, column). Column j
-    // of segment i lives at lane i*4 + (j>>1), register j&1: summing rows
-    // is a stride-4 lane tree, and shfl_down 8 / 16 / 4 lands the SpMV
-    // add association [(C0+C2)+(C4+C6)] + [(C1+C3)+(C5+C7)] at lane j>>1.
+    // of segment r lives at lane r*4 + (j>>1), register j&1: summing rows
+    // is a stride-4 lane tree, and the full-mask shfl_down 8 / 16 / 4
+    // lands the SpMV add association [(C0+C2)+(C4+C6)] + [(C1+C3)+(C5+C7)]
+    // at lane j>>1 — computed here on that lane's chain.
     for (panel, acc) in accs.iter().enumerate() {
         for lane in 0..WARP_SIZE {
             probe.san_frag_read(lane, 0);
             probe.san_frag_read(lane, 1);
         }
-        let mut y0: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][0]);
-        let mut y1: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][1]);
-        for delta in [8usize, 16, 4] {
-            let d = checked::shfl_down_sync(probe, mask, y0, delta);
-            for l in 0..WARP_SIZE {
-                y0[l] = S::acc_add(y0[l], d[l]);
-            }
-            let d = checked::shfl_down_sync(probe, mask, y1, delta);
-            for l in 0..WARP_SIZE {
-                y1[l] = S::acc_add(y1[l], d[l]);
-            }
-        }
         probe.shfl(6);
         let w_p = b.panel_width(panel);
         let mut writes = [0usize; PANEL_WIDTH];
         for jj in 0..w_p {
-            let v = if jj & 1 == 0 {
-                y0[jj >> 1]
-            } else {
-                y1[jj >> 1]
-            };
-            warp_val.write((g * panels + panel) * PANEL_WIDTH + jj, v);
+            let d = std::array::from_fn(|r| acc[r * 4 + (jj >> 1)][jj & 1]);
             writes[jj] = (g * panels + panel) * PANEL_WIDTH + jj;
+            warp_val.write(writes[jj], collapse_partials::<S>(&d));
         }
         probe.san_write_warp(space::AUX, &writes[..w_p]);
         probe.store_y(w_p as u64, S::ACC_BYTES);
@@ -167,7 +153,6 @@ pub fn spmm_long_phase2_warp<S: Scalar, P: Probe>(
     probe: &mut P,
 ) {
     let panels = b.num_panels();
-    let mask = full_mask();
     probe.warp_begin(lr);
     probe.san_region("spmm.long.phase2");
     let orig_row = part.rows[lr] as usize;
@@ -202,10 +187,10 @@ pub fn spmm_long_phase2_warp<S: Scalar, P: Probe>(
                 probe.load_meta(n as u64, S::ACC_BYTES);
                 base += WARP_SIZE;
             }
-            let reduced = checked::warp_reduce(probe, mask, thread_val, |a, b| S::acc_add(a, b));
-            probe.shfl(dasp_simt::shuffle::WARP_REDUCE_SHFLS);
+            let sum = warp_reduce_lane0(thread_val, S::acc_add);
+            probe.shfl(WARP_REDUCE_SHFLS);
             let idx = panel * y_rows * PANEL_WIDTH + orig_row * w_p + jj;
-            y.write(idx, S::from_acc(reduced[0]));
+            y.write(idx, S::from_acc(sum));
             writes[jj] = idx;
         }
         probe.san_write_warp(space::Y, &writes[..w_p]);

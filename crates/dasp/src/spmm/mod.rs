@@ -41,8 +41,8 @@
 //! piece), so even the `a * 0` products of the piecing passes replicate
 //! SpMV's own sequence. The long kernel's partial-sum collapse reproduces
 //! SpMV's exact add association `[(C0+C2)+(C4+C6)] + [(C1+C3)+(C5+C7)]`
-//! per column with a `shfl_down 8, 16, 4` tree (SpMV's `9, 18, bcast-4`
-//! sequence is the single-column diagonal special case of the same tree).
+//! per column: the order of a `shfl_down 8, 16, 4` tree, of which SpMV's
+//! `9, 18, bcast-4` sequence is the single-column diagonal special case.
 //!
 //! # Probe accounting
 //!
@@ -84,11 +84,12 @@ pub(crate) type PanelRes<S> = [[<S as Scalar>::Acc; PANEL_WIDTH]; WARP_SIZE];
 
 /// Pulls row-segment `i`'s eight row results — all [`PANEL_WIDTH`] columns
 /// of each — out of the accumulator fragment into result slots
-/// `i*8..(i+1)*8`, mirroring the SpMV kernels' `extract_diagonals`.
+/// `i*8..(i+1)*8`: [`crate::kernels::extract_diagonals`] widened to every
+/// column.
 ///
 /// `C[r][j]` lives at lane `r*4 + (j>>1)`, register `j&1`. The two
-/// variable-source shuffle *issues* counted here are the same pair SpMV
-/// spends per extraction: shuffles move whole registers, so the panel
+/// variable-source shuffle *issues* charged here are the same pair SpMV
+/// charges per extraction: shuffles move whole registers, so the panel
 /// columns ride along in the register pair each lane already holds.
 #[inline]
 pub(crate) fn extract_rows<S: Scalar, P: Probe>(

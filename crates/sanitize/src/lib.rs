@@ -9,8 +9,10 @@
 //! * **maskcheck** — the [`dasp_simt::checked`] shuffle variants report
 //!   out-of-mask source reads (release builds included), distinguishing
 //!   reads whose values are consumed (errors) from reads discarded by a
-//!   subsequent predicate (informational — the paper's extraction
-//!   shuffles do this by design);
+//!   subsequent predicate (informational). No kernel issues a checked
+//!   shuffle today — the DASP collectives all run under the full mask
+//!   and are computed in closed form — so only the fault-injection tests
+//!   drive this checker;
 //! * **initcheck** — poison tracking over MMA accumulator fragment slots
 //!   and never-written auxiliary elements (e.g. the long kernel's
 //!   `warpVal` staging array, the segmented baselines' carries).

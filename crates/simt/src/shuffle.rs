@@ -170,8 +170,7 @@ fn warp_reduce_with<T: Copy, F: Fn(T, T) -> T>(
 /// paper's Algorithm 2). After the call, **lane 0** holds
 /// `combine` applied over all 32 lanes; other lanes hold partial sums.
 ///
-/// Returns the full lane array so callers can also use partials, and the
-/// number of shuffle issues (5) so probes can account for them.
+/// Returns the full lane array so callers can also use partials.
 #[inline]
 pub fn warp_reduce<T: Copy, F: Fn(T, T) -> T>(
     mask: u32,
@@ -179,6 +178,21 @@ pub fn warp_reduce<T: Copy, F: Fn(T, T) -> T>(
     combine: F,
 ) -> [T; WARP_SIZE] {
     warp_reduce_with(mask, var, combine, |v, o| shfl_down_sync(mask, v, o))
+}
+
+/// Lane 0's result of a full-mask [`warp_reduce`], on lane 0's dependence
+/// chain alone: `var[l] = combine(var[l], var[l + d])` over lanes `0..d`
+/// for `d = 16, 8, 4, 2, 1`. Bit-identical for any `combine`.
+#[inline]
+pub fn warp_reduce_lane0<T: Copy>(mut var: [T; WARP_SIZE], combine: impl Fn(T, T) -> T) -> T {
+    let mut d = WARP_SIZE / 2;
+    while d > 0 {
+        for lane in 0..d {
+            var[lane] = combine(var[lane], var[lane + d]);
+        }
+        d /= 2;
+    }
+    var[0]
 }
 
 /// Number of shuffle instructions issued by one [`warp_reduce`] call.
